@@ -1,7 +1,8 @@
-"""Ablation: spatial index (R-tree vs grid vs vectorized scan vs bitmap).
+"""Ablation: spatial index (the paper's R-tree vs the vectorized scan).
 
-Section 2.2 indexes chunk MBRs with an R-tree.  Two measurements live
-here:
+Section 2.2 indexes chunk MBRs with an R-tree; the serving index is
+:class:`~repro.index.ScanIndex`, and the R-tree stays here as the
+paper's baseline.  Two measurements live here:
 
 - **pytest-benchmark micro-ablation** (the original bench): build and
   query cost for every index type on the SAT chunk population
@@ -9,8 +10,8 @@ here:
   ``pytest benchmarks/bench_ablation_index.py``.
 - **standalone scaling sweep + pruning workload**: chunk-MBR
   populations up to a million rectangles, reporting build time and
-  query throughput per index with the crossover population where each
-  vectorized index overtakes the pointer-walking R-tree, plus an
+  query throughput per index with the crossover population where the
+  scan overtakes the pointer-walking R-tree, plus an
   end-to-end value-synopsis pruning run measuring the byte reduction a
   selective ``where=`` predicate delivers.
 
@@ -40,13 +41,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.index import (  # noqa: E402
-    BruteForceIndex,
-    GridIndex,
-    HierarchicalBitmapIndex,
-    RTree,
-    ScanIndex,
-)
+from repro.index import BruteForceIndex, RTree, ScanIndex  # noqa: E402
 from repro.util.geometry import Rect  # noqa: E402
 
 FIDELITY = os.environ.get("REPRO_BENCH_FIDELITY", "fast").lower()
@@ -61,18 +56,16 @@ POPULATIONS = {
     "full": (10_000, 100_000, 1_000_000),
 }
 
-#: contenders in the sweep -- GridIndex is excluded above the micro
-#: bench because its build loop is per-rect Python (one-time cost, but
-#: minutes at 1M rects)
+#: contenders in the sweep: the paper's R-tree, the serving scan index,
+#: and the brute-force oracle
 SWEEP_INDEXES = {
     "rtree": (RTree, {"bulk": "hilbert"}),
     "scan": (ScanIndex, {}),
-    "bitmap": (HierarchicalBitmapIndex, {}),
     "brute": (BruteForceIndex, {}),
 }
 
-#: the vectorized newcomers gated against the R-tree
-NEW_INDEXES = ("scan", "bitmap")
+#: the serving index, gated against the R-tree
+NEW_INDEXES = ("scan",)
 GATE_MIN_POPULATION = 100_000
 
 
@@ -89,9 +82,7 @@ try:  # pragma: no cover - exercised only under pytest-benchmark
     INDEXES = {
         "rtree-str": (RTree, {"bulk": "str"}),
         "rtree-hilbert": (RTree, {"bulk": "hilbert"}),
-        "grid": (GridIndex, {}),
         "scan": (ScanIndex, {}),
-        "bitmap": (HierarchicalBitmapIndex, {}),
         "brute": (BruteForceIndex, {}),
     }
 
@@ -200,7 +191,7 @@ def sweep_population(n):
 
 
 def crossover(populations):
-    """Smallest population where each new index overtakes the R-tree."""
+    """Smallest population where each gated index overtakes the R-tree."""
     out = {}
     for name in NEW_INDEXES:
         out[name] = next(
@@ -282,7 +273,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--min-query-ratio", type=float, default=None,
-        help="exit 1 unless scan and bitmap reach this fraction of the "
+        help="exit 1 unless scan reaches this fraction of the "
         f"R-tree's query throughput at populations >= {GATE_MIN_POPULATION}",
     )
     parser.add_argument(
@@ -310,8 +301,7 @@ def main(argv=None) -> int:
         print(
             f"n={n:>9,}: "
             + ", ".join(f"{k} {v:,.0f} q/s" for k, v in qps.items())
-            + f"  (scan {entry['ratio_vs_rtree']['scan']:.1f}x, "
-            f"bitmap {entry['ratio_vs_rtree']['bitmap']:.1f}x vs rtree)"
+            + f"  (scan {entry['ratio_vs_rtree']['scan']:.1f}x vs rtree)"
         )
     report["crossover_vs_rtree"] = crossover(report["populations"])
     print(f"crossover populations: {report['crossover_vs_rtree']}")

@@ -6,7 +6,7 @@ processing of multi-dimensional datasets on distributed-memory
 machines with disks attached to each node.  This package implements
 the full system in Python:
 
-- the chunked, declustered, R-tree-indexed storage substrate
+- the chunked, declustered, MBR-indexed storage substrate
   (:mod:`repro.dataset`, :mod:`repro.store`, :mod:`repro.index`,
   :mod:`repro.decluster`);
 - the user-customization services (:mod:`repro.space` for ``Map``,
@@ -44,8 +44,6 @@ from repro.planner import (
     plan_query,
     validate_plan,
     plan_stats,
-    estimate_cost,
-    select_strategy,
 )
 from repro.sim.query_sim import simulate_query, SimResult
 from repro.runtime.engine import execute_plan, QueryResult
@@ -72,8 +70,6 @@ __all__ = [
     "plan_query",
     "validate_plan",
     "plan_stats",
-    "estimate_cost",
-    "select_strategy",
     "simulate_query",
     "SimResult",
     "execute_plan",

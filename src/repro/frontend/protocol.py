@@ -83,9 +83,7 @@ class DeadlineExceededError(TimeoutError):
 # big-endian payload length followed by that many bytes of UTF-8 JSON.
 # Framing makes torn connections *loud* -- a short read is a
 # ProtocolError naming the missing bytes, never a hang or a bare
-# struct.error.  Servers keep reading newline-delimited JSON from
-# legacy clients: a first byte of ``{`` (impossible in a framed header
-# under MAX_FRAME_BYTES) selects line mode per message.
+# struct.error.
 
 _FRAME_HEADER = struct.Struct(">I")
 
@@ -107,15 +105,14 @@ def write_frame(wfile: BinaryIO, message: Dict[str, Any]) -> None:
     wfile.flush()
 
 
-def read_frame(rfile: BinaryIO, prefix: bytes = b"") -> Optional[Dict[str, Any]]:
+def read_frame(rfile: BinaryIO) -> Optional[Dict[str, Any]]:
     """Read one length-prefixed frame; ``None`` on clean EOF.
 
-    *prefix* holds header bytes the caller already consumed (the
-    server's one-byte legacy-protocol sniff).  Raises
-    :class:`ProtocolError` on a truncated header, an oversized declared
-    length, a torn payload, or a payload that is not valid JSON.
+    Raises :class:`ProtocolError` on a truncated header, an oversized
+    declared length, a torn payload, or a payload that is not valid
+    JSON.
     """
-    header = prefix + rfile.read(_FRAME_HEADER.size - len(prefix))
+    header = rfile.read(_FRAME_HEADER.size)
     if not header:
         return None
     if len(header) < _FRAME_HEADER.size:
@@ -350,19 +347,31 @@ def query_from_dict(payload: Dict[str, Any]) -> RangeQuery:
 # -- results ------------------------------------------------------------------
 
 
+#: Array kinds a decoded chunk may hold: bool, int, uint, float.
+_NUMERIC_KINDS = "biuf"
+
+
+def _decode_values(rows: Any) -> np.ndarray:
+    """One chunk's nested lists as a float64 array; anything that is not
+    a rectangular block of numbers (``null``, strings, ragged rows)
+    raises :class:`ProtocolError`."""
+    arr = np.asarray(rows)
+    if arr.dtype.kind not in _NUMERIC_KINDS:
+        raise ProtocolError(
+            f"chunk values must be numeric, got array kind {arr.dtype.kind!r}"
+        )
+    return arr.astype(np.float64, copy=False)
+
+
 def result_to_dict(result: QueryResult) -> Dict[str, Any]:
-    """Encode a result (NaN travels as the string ``"nan"``)."""
-
-    def encode(arr: np.ndarray) -> list:
-        return [
-            ["nan" if np.isnan(v) else float(v) for v in row] for row in arr
-        ]
-
+    """Encode a result.  Chunk values are nested lists of floats; NaN
+    and ±inf travel as JSON's ``NaN``/``Infinity``/``-Infinity`` tokens,
+    which Python's ``json`` writes and reads by default."""
     payload = {
         "version": PROTOCOL_VERSION,
         "strategy": result.strategy,
         "output_ids": [int(o) for o in result.output_ids],
-        "chunk_values": [encode(v) for v in result.chunk_values],
+        "chunk_values": [v.tolist() for v in result.chunk_values],
         "n_tiles": result.n_tiles,
         "n_reads": result.n_reads,
         "bytes_read": result.bytes_read,
@@ -415,17 +424,11 @@ def result_from_dict(payload: Dict[str, Any]) -> QueryResult:
         raise ProtocolError(
             f"protocol version {payload.get('version')!r} not supported"
         )
-
-    def decode(rows: list) -> np.ndarray:
-        return np.asarray(
-            [[np.nan if v == "nan" else float(v) for v in row] for row in rows]
-        )
-
     try:
         return QueryResult(
             strategy=payload["strategy"],
             output_ids=np.asarray(payload["output_ids"], dtype=np.int64),
-            chunk_values=[decode(v) for v in payload["chunk_values"]],
+            chunk_values=[_decode_values(v) for v in payload["chunk_values"]],
             n_tiles=int(payload["n_tiles"]),
             n_reads=int(payload["n_reads"]),
             bytes_read=int(payload["bytes_read"]),

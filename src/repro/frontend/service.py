@@ -22,18 +22,13 @@ Message envelope (one frame per message; see ``protocol.write_frame``):
   "shard_unavailable"|"deadline_exceeded", "error": "...",
   "details": {...}}``
 
-Legacy clients speaking newline-delimited JSON keep working: a frame
-header under ``MAX_FRAME_BYTES`` (64 MiB) starts with a byte ``<=
-0x04``, so any larger first byte -- every printable ASCII character,
-in particular ``{`` -- selects line mode for that one message and the
-server answers in kind.  Framing errors on a framed stream close the
-connection (byte offsets are unrecoverable); malformed line-mode JSON
-answers ``bad_request`` and keeps the connection open.
+Framing errors -- including bytes that are not a frame at all --
+answer one framed ``bad_request`` and close the connection (byte
+offsets are unrecoverable).
 """
 
 from __future__ import annotations
 
-import json
 import socket
 import socketserver
 import sys
@@ -43,7 +38,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.frontend.adr import ADR
 from repro.frontend.protocol import (
-    MAX_FRAME_BYTES,
     DeadlineExceededError,
     ProtocolError,
     error_to_dict,
@@ -71,11 +65,6 @@ __all__ = ["ADRServer", "ADRClient", "RemoteQueryError"]
 #: succeed.
 _BAD_REQUEST_ERRORS = (ProtocolError, KeyError, ValueError)
 
-#: Largest first byte of a valid framed header: frames are capped at
-#: ``MAX_FRAME_BYTES``, so a bigger first byte cannot open a frame and
-#: must be the start of a legacy newline-delimited JSON message.
-_MAX_HEADER_FIRST_BYTE = MAX_FRAME_BYTES >> 24
-
 
 class RemoteQueryError(RuntimeError):
     """A server-side failure relayed over the wire.
@@ -101,44 +90,22 @@ class RemoteQueryError(RuntimeError):
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         while True:
-            first = self.rfile.read(1)
-            if not first:
-                return
-            if first in (b"\r", b"\n"):
-                continue
-            if first[0] > _MAX_HEADER_FIRST_BYTE:
-                # Legacy newline-delimited JSON message.
-                raw = first + self.rfile.readline()
-                try:
-                    message = json.loads(raw)
-                except Exception as e:  # malformed JSON and friends
-                    self._respond(error_to_dict("bad_request", e), framed=False)
-                    continue
-                self._respond(self._dispatch_safe(message), framed=False)
-                continue
             try:
-                message = read_frame(self.rfile, prefix=first)
+                message = read_frame(self.rfile)
             except ProtocolError as e:
                 # Framing desync: the stream's byte offsets are
                 # unrecoverable, so answer once and close loudly.
-                self._respond(error_to_dict("bad_request", e), framed=True)
+                write_frame(self.wfile, error_to_dict("bad_request", e))
                 return
             if message is None:
                 return
-            self._respond(self._dispatch_safe(message), framed=True)
+            write_frame(self.wfile, self._dispatch_safe(message))
 
     def _dispatch_safe(self, message: dict) -> dict:
         try:
             return self.server.adr_dispatch(message)
         except Exception as e:  # dispatch must never kill the connection
             return error_to_dict("internal", e)
-
-    def _respond(self, response: dict, framed: bool) -> None:
-        if framed:
-            write_frame(self.wfile, response)
-        else:
-            self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-            self.wfile.flush()
 
 
 class ADRServer(socketserver.ThreadingTCPServer):
@@ -365,14 +332,9 @@ class ADRClient:
     def stats(self, deadline: Optional[float] = None) -> Dict[str, Any]:
         """Service counters (queue depth, in-flight, batches, sharing,
         cache hit rates) -- the ``{"op": "stats"}`` endpoint."""
-        response = self._call({"op": "stats"}, deadline)
-        if not response.get("ok"):
-            raise RemoteQueryError(
-                f"stats failed: {response.get('error')}",
-                code=response.get("code", "internal"),
-                details=response.get("details"),
-            )
-        return response["result"]
+        return self._checked(self._call({"op": "stats"}, deadline), "stats")[
+            "result"
+        ]
 
     def health(self, deadline: Optional[float] = None) -> Dict[str, Any]:
         """Liveness probe -- ``{"status": "serving"|"draining", ...}``."""

@@ -5,18 +5,20 @@ disk farm, an index (e.g., an R-tree) is constructed using the MBRs of
 the chunks.  The index is used by the back-end nodes to find the local
 chunks with MBRs that intersect the range query."
 
-This package implements that index from scratch:
+Every index answers one contract (sorted int64 ids of the MBRs that
+intersect a query rectangle):
 
-- :class:`RTree` -- dynamic inserts with quadratic split plus an STR
-  (Sort-Tile-Recursive) bulk loader used by the dataset loader;
-- :class:`GridIndex` -- a uniform-grid baseline;
-- :class:`BruteForceIndex` -- the vectorized linear scan every other
-  index is checked against in tests and benches;
 - :class:`ScanIndex` -- packed MBR columns sorted on the primary
   dimension, binsearch-narrowed branchless scan (modern-hardware
-  answer to tree traversal);
-- :class:`HierarchicalBitmapIndex` -- per-level uint64 bin bitsets
-  with segment-tree covers, AND/OR word ops per query.
+  answer to tree traversal); the one index the dataset loader and the
+  shard router build;
+- :class:`RTree` -- the paper's index: dynamic inserts with quadratic
+  split plus STR / Hilbert bulk loading, kept as the baseline the
+  index ablation measures against;
+- :class:`BruteForceIndex` -- the vectorized linear scan every other
+  index is checked against in tests and benches;
+- :class:`GridIndex` and :class:`HierarchicalBitmapIndex` --
+  alternative structures with no caller outside their own tests.
 """
 
 from repro.index.base import SpatialIndex

@@ -1,4 +1,4 @@
-"""Closed-form cost models and automatic strategy selection.
+"""Closed-form cost models (the estimates automatic strategy selection ranks).
 
 Section 6 of the paper: "One of the long-term goals of our work on
 query planning strategies is to develop simple but reasonably accurate
@@ -16,16 +16,14 @@ discrete-event simulator across the paper's whole experiment grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
 from repro.machine.config import ComputeCosts, MachineConfig
 from repro.planner.plan import QueryPlan
-from repro.planner.problem import PlanningProblem
 from repro.planner.stats import plan_stats
 
-__all__ = ["CostModel", "CostEstimate", "estimate_cost", "select_strategy"]
+__all__ = ["CostModel", "CostEstimate"]
 
 
 @dataclass(frozen=True)
@@ -272,30 +270,3 @@ class CostModel:
 
         return CostEstimate(plan.strategy, t_init, t_lr, t_gc, t_oh)
 
-
-def estimate_cost(
-    plan: QueryPlan, machine: MachineConfig, costs: ComputeCosts
-) -> CostEstimate:
-    """Functional wrapper around :class:`CostModel`."""
-    return CostModel(machine, costs).estimate(plan)
-
-
-def select_strategy(
-    problem: PlanningProblem,
-    machine: MachineConfig,
-    costs: ComputeCosts,
-    strategies: Optional[Iterable[str]] = None,
-) -> Tuple[QueryPlan, Dict[str, CostEstimate]]:
-    """Plan with every candidate strategy, estimate each, return the
-    cheapest plan plus all estimates (for reporting).
-
-    Back-compat wrapper: the selection itself lives at the single
-    choke point :func:`repro.planner.select.choose_strategy`; its
-    accuracy against the simulator is quantified in
-    ``benchmarks/bench_costmodel_accuracy.py``.
-    """
-    from repro.planner.select import FIXED_STRATEGIES, choose_strategy
-
-    names = tuple(strategies) if strategies is not None else FIXED_STRATEGIES
-    choice = choose_strategy(problem, CostModel(machine, costs), names)
-    return choice.plan, choice.estimates

@@ -28,7 +28,9 @@ endpoints and the servers.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+import threading
+import time
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence
 
 from repro.dataset.chunk import Chunk
 from repro.faults.injector import FaultInjector
@@ -51,6 +53,11 @@ from repro.space.attribute_space import AttributeSpace
 from repro.store.chunk_store import MemoryChunkStore
 
 __all__ = ["ShardCluster"]
+
+#: Upper bound on :meth:`ShardCluster.close` waiting for its servers.
+#: One server's stop is bounded by its serve-thread and worker joins
+#: (5 s + 10 s per worker); anything slower is a hang worth reporting.
+_CLOSE_TIMEOUT_S = 30.0
 
 
 class _LocalShardClient:
@@ -165,11 +172,33 @@ class ShardCluster:
         return self
 
     def close(self) -> None:
-        for sid, server in enumerate(self.servers):
-            if sid not in self._crashed:
-                server.__exit__(None, None, None)
+        """Stop every live server concurrently.
+
+        Each ``shutdown()`` waits out the ``serve_forever`` poll
+        (0.5 s), so stopping the servers in parallel pays that wait
+        once rather than once per shard.  Raises ``RuntimeError`` if a
+        server is still stopping after ``_CLOSE_TIMEOUT_S``.
+        """
+        stoppers = {
+            sid: threading.Thread(
+                target=server.__exit__, args=(None, None, None),
+                name=f"shard-{sid}-close", daemon=True,
+            )
+            for sid, server in enumerate(self.servers)
+            if sid not in self._crashed
+        }
+        for t in stoppers.values():
+            t.start()
+        end = time.monotonic() + _CLOSE_TIMEOUT_S
+        for t in stoppers.values():
+            t.join(timeout=max(0.0, end - time.monotonic()))
         self.servers = []
         self._started = False
+        stuck = sorted(sid for sid, t in stoppers.items() if t.is_alive())
+        if stuck:
+            raise RuntimeError(
+                f"shard servers {stuck} still stopping after {_CLOSE_TIMEOUT_S}s"
+            )
 
     def __enter__(self) -> "ShardCluster":
         return self.start()

@@ -18,18 +18,18 @@ offset    size   field
 44        L      values dtype string (ASCII, e.g. ``"<f8"``)
 44+L      8*R    values trailing shape (int64 each)
 ...       16*d   MBR (lo array then hi array, float64)
-...       24*k   value synopsis, v2 only (see below)
+...       24*k   value synopsis (see below)
 ...       var    coords payload (float64, C order)
 ...       var    values payload (C order)
 ========  =====  ==============================================
 
-Version 2 inserts a fixed-size **value synopsis** block between the
-MBR and the coords payload, where ``k = prod(trailing shape)`` (1 for
-scalar values): per-component min (``k`` float64), max (``k``
-float64), then NaN counts (``k`` int64).  The block lets
-:func:`decode_synopsis` recover pruning summaries from the header
-region without materializing the payload arrays.  Version 1 files
-(no block) still decode; their synopses are recomputed from values.
+A fixed-size **value synopsis** block sits between the MBR and the
+coords payload, where ``k = prod(trailing shape)`` (1 for scalar
+values): per-component min (``k`` float64), max (``k`` float64), then
+NaN counts (``k`` int64).  The block lets :func:`decode_synopsis`
+recover pruning summaries from the header region without
+materializing the payload arrays.  Any other version -- including the
+synopsis-less version 1 -- is rejected with :class:`ChunkFormatError`.
 
 The format is deliberately self-describing: a chunk file can be read
 back without the dataset manifest, and the CRC turns silent bit-rot
@@ -61,7 +61,6 @@ __all__ = [
 
 MAGIC = b"ADRC"
 VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
 _HEADER = struct.Struct("<4sHHqqIIIII")  # 44 bytes
 
 
@@ -115,6 +114,18 @@ def encode_chunk(chunk: Chunk) -> bytes:
     return header + bytes(body)
 
 
+def _unpack_header(data: bytes) -> tuple:
+    """The header fields after the magic/version checks."""
+    if len(data) < _HEADER.size:
+        raise CorruptChunkError(f"file too short for header ({len(data)} bytes)")
+    magic, version, *fields = _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise ChunkFormatError(f"bad magic {magic!r}")
+    if version != VERSION:
+        raise ChunkFormatError(f"unsupported format version {version}")
+    return tuple(fields)
+
+
 def decode_chunk(data: bytes) -> Chunk:
     """Parse bytes produced by :func:`encode_chunk` back into a Chunk.
 
@@ -127,11 +138,7 @@ def decode_chunk(data: bytes) -> Chunk:
         On truncation or CRC mismatch (a chunk file that was valid
         once and has since been damaged).
     """
-    if len(data) < _HEADER.size:
-        raise CorruptChunkError(f"file too short for header ({len(data)} bytes)")
     (
-        magic,
-        version,
         ndim,
         chunk_id,
         n_items,
@@ -140,13 +147,9 @@ def decode_chunk(data: bytes) -> Chunk:
         dtype_len,
         rank,
         crc,
-    ) = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise ChunkFormatError(f"bad magic {magic!r}")
-    if version not in _SUPPORTED_VERSIONS:
-        raise ChunkFormatError(f"unsupported format version {version}")
+    ) = _unpack_header(data)
     body = data[_HEADER.size :]
-    # CRC first: the v2 synopsis size depends on the trailing shape,
+    # CRC first: the synopsis size depends on the trailing shape,
     # which lives in the body, so the body must be proven intact before
     # any of it is trusted for length arithmetic.
     if zlib.crc32(body) != crc:
@@ -163,7 +166,7 @@ def decode_chunk(data: bytes) -> Chunk:
     )
     pos += 8 * rank
     k = prod(trailing) if trailing else 1
-    synopsis_len = 24 * k if version >= 2 else 0
+    synopsis_len = 24 * k
     expected = dtype_len + 8 * rank + 16 * ndim + synopsis_len + coords_len + values_len
     if len(body) != expected:
         raise CorruptChunkError(
@@ -192,29 +195,15 @@ def decode_chunk(data: bytes) -> Chunk:
 def decode_synopsis(data: bytes) -> tuple:
     """Extract ``(vmin, vmax, nulls, count)`` from an encoded chunk.
 
-    For version-2 files this reads only the header region (dtype,
-    shape, MBR, synopsis block) after verifying the CRC; version-1
-    files carry no block, so their values are decoded and summarized.
-    Either way the result is identical to
+    Reads only the header region (dtype, shape, MBR, synopsis block)
+    after verifying the CRC; the result is identical to
     ``ValueSynopsis.summarize_values(chunk.values)`` on the decoded
     chunk.
     """
-    if len(data) < _HEADER.size:
-        raise CorruptChunkError(f"file too short for header ({len(data)} bytes)")
-    magic, version, _ndim, _cid, n_items, _clen, _vlen, dtype_len, rank, crc = (
-        _HEADER.unpack_from(data)
-    )
-    if magic != MAGIC:
-        raise ChunkFormatError(f"bad magic {magic!r}")
-    if version not in _SUPPORTED_VERSIONS:
-        raise ChunkFormatError(f"unsupported format version {version}")
-    if version < 2:
-        chunk = decode_chunk(data)
-        return ValueSynopsis.summarize_values(chunk.values)
+    ndim, _cid, n_items, _clen, _vlen, dtype_len, rank, crc = _unpack_header(data)
     body = data[_HEADER.size :]
     if zlib.crc32(body) != crc:
         raise CorruptChunkError("CRC mismatch: chunk file is corrupt")
-    ndim = _HEADER.unpack_from(data)[2]
     pos = dtype_len
     trailing = tuple(
         np.frombuffer(body, dtype="<i8", count=rank, offset=pos).tolist()

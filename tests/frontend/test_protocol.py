@@ -177,19 +177,57 @@ class TestResultRoundTrip:
             np.testing.assert_allclose(a, b, equal_nan=True)
         assert client_result.n_reads == result.n_reads
 
-    def test_nan_encoding(self):
+    @staticmethod
+    def _values_result(chunk_values):
         from repro.runtime.engine import QueryResult
 
-        res = QueryResult(
+        return QueryResult(
             strategy="FRA",
-            output_ids=np.array([0]),
-            chunk_values=[np.array([[1.0, np.nan]])],
+            output_ids=np.arange(len(chunk_values)),
+            chunk_values=chunk_values,
             n_tiles=1, n_reads=1, bytes_read=10, n_combines=0, n_aggregations=1,
         )
-        payload = json.loads(json.dumps(result_to_dict(res)))
-        back = result_from_dict(payload)
-        assert back.chunk_values[0][0, 0] == 1.0
-        assert np.isnan(back.chunk_values[0][0, 1])
+
+    def test_nan_encoding(self):
+        """NaN and ±inf cross the wire as JSON tokens, bit-identically:
+        mixed values, an all-NaN chunk, and a ``best`` partial
+        accumulator (unfilled cells hold -inf scores)."""
+        from repro.aggregation.functions import BestValueComposite
+        from repro.shard.partial import PartialAggregationSpec
+
+        spec = PartialAggregationSpec(BestValueComposite(3))
+        best = spec.initialize(6)
+        spec.aggregate(
+            best,
+            np.array([0, 0, 2, 5]),
+            np.array([[0.5, 1.0, np.nan], [0.7, 2.0, 3.0],
+                      [np.inf, -1.0, 0.25], [-2.0, np.nan, np.nan]]),
+        )
+        best = spec.output(best)
+        assert np.isneginf(best[:, 0]).sum() == 3
+        chunks = [
+            np.array([[1.0, np.nan], [np.inf, -np.inf], [-0.0, 1e-300]]),
+            np.full((4, 2), np.nan),
+            best,
+        ]
+        text = json.dumps(result_to_dict(self._values_result(chunks)))
+        assert "NaN" in text and "-Infinity" in text
+        back = result_from_dict(json.loads(text))
+        for got, want in zip(back.chunk_values, chunks):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1.0, None]], [["nan", 1.0]], [[1.0], [1.0, 2.0]]],
+        ids=["null", "string", "ragged"],
+    )
+    def test_non_numeric_values_rejected(self, rows):
+        payload = json.loads(json.dumps(
+            result_to_dict(self._values_result([np.zeros((1, 2))]))))
+        payload["chunk_values"] = [rows]
+        with pytest.raises(ProtocolError):
+            result_from_dict(payload)
 
     def test_result_bad_version(self):
         with pytest.raises(ProtocolError):
@@ -418,18 +456,6 @@ class TestFraming:
         data = struct.pack(">I", 3) + b"\xff\xfe\xfd"
         with pytest.raises(ProtocolError, match="bad frame payload"):
             read_frame(io.BytesIO(data))
-
-    def test_prefix_bytes_count_toward_header(self):
-        """The server's one-byte legacy sniff hands its byte back via
-        ``prefix``; the frame must decode exactly as if unread."""
-        import io
-
-        from repro.frontend.protocol import read_frame, write_frame
-
-        buf = io.BytesIO()
-        write_frame(buf, {"op": "ping"})
-        raw = buf.getvalue()
-        assert read_frame(io.BytesIO(raw[1:]), prefix=raw[:1]) == {"op": "ping"}
 
     def test_oversized_outgoing_payload_refused(self):
         import io

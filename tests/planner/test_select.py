@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.machine.config import ComputeCosts
 from repro.planner.costmodel import CostModel
 from repro.planner.select import (
     ALL_STRATEGIES,
@@ -124,12 +123,14 @@ class TestChooseStrategy:
 
 
 class TestCostmodelSelectStrategy:
-    """costmodel.select_strategy now routes through choose_strategy."""
+    """Ranking each strategy's plan by ``CostModel.estimate`` by hand
+    picks the winner the choke point picks."""
 
     def test_same_winner_as_choke_point(self, problem, model):
-        from repro.planner.costmodel import select_strategy
-
-        best, estimates = select_strategy(problem, small_machine(), SMALL_COSTS)
+        totals = {
+            name: model.estimate(plan_query(problem, name)).total
+            for name in FIXED_STRATEGIES
+        }
         choice = choose_strategy(problem, model, FIXED_STRATEGIES)
-        assert best.strategy == choice.selected
-        assert set(estimates) == set(FIXED_STRATEGIES)
+        assert choice.selected == min(totals, key=totals.get)
+        assert {k: e.total for k, e in choice.estimates.items()} == totals

@@ -1,6 +1,9 @@
 """Tests for the scatter/gather router: planning, retry/failover,
-degrade-vs-raise semantics, hedging, drain and health probes."""
+degrade-vs-raise semantics, hedging, drain and health probes, and
+cluster shutdown."""
 
+import socket
+import threading
 import time
 
 import numpy as np
@@ -420,3 +423,44 @@ class TestDeadlines:
         assert set(got.shard_errors) == {0}
         assert "eadline" in got.shard_errors[0]
         assert elapsed < 5.0
+
+
+class TestClose:
+    def test_servers_stop_concurrently(self, deployment):
+        """Every server's stop is in flight at once: a barrier sized to
+        the shard count only opens if no stop waits for another."""
+        cluster, _, _ = deployment
+        addresses = [s.address for s in cluster.servers]
+        barrier = threading.Barrier(N_SHARDS, timeout=10.0)
+        stopped = []
+        for server in cluster.servers:
+            def stop(*exc, _inner=server.__exit__):
+                barrier.wait()
+                _inner(*exc)
+                stopped.append(True)
+
+            server.__exit__ = stop
+        cluster.close()
+        assert len(stopped) == N_SHARDS
+        for address in addresses:
+            with pytest.raises(OSError):
+                socket.create_connection(address, timeout=1.0).close()
+
+    def test_stuck_server_reported(self, deployment, monkeypatch):
+        import repro.shard.cluster as cluster_mod
+
+        cluster, _, _ = deployment
+        monkeypatch.setattr(cluster_mod, "_CLOSE_TIMEOUT_S", 2.0)
+        release, done = threading.Event(), threading.Event()
+        stuck = cluster.servers[1]
+
+        def stop(*exc, _inner=stuck.__exit__):
+            release.wait(timeout=10.0)
+            _inner(*exc)
+            done.set()
+
+        stuck.__exit__ = stop
+        with pytest.raises(RuntimeError, match=r"\[1\] still stopping"):
+            cluster.close()
+        release.set()
+        assert done.wait(timeout=10.0)

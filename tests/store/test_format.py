@@ -174,7 +174,7 @@ def as_version1(data: bytes) -> bytes:
 
 
 class TestSynopsisBlock:
-    """The v2 value-synopsis block and v1 backward compatibility."""
+    """The value-synopsis block; the synopsis-less v1 layout is rejected."""
 
     @pytest.mark.parametrize("comps", [0, 3])
     def test_decode_synopsis_matches_values(self, rng, comps):
@@ -200,22 +200,13 @@ class TestSynopsisBlock:
         assert vmax[0] == chunk.values.max()
         assert nulls[0] == 0
 
-    def test_v1_chunk_still_decodes(self, rng):
-        chunk = make_chunk(rng, comps=2)
-        old = as_version1(encode_chunk(chunk))
-        back = decode_chunk(old)
-        np.testing.assert_array_equal(back.coords, chunk.coords)
-        np.testing.assert_array_equal(back.values, chunk.values)
-
-    def test_v1_synopsis_recomputed_from_values(self, rng):
-        chunk = make_chunk(rng, comps=2)
-        old = as_version1(encode_chunk(chunk))
-        vmin, vmax, nulls, count = decode_synopsis(old)
-        evmin, evmax, enulls, ecount = ValueSynopsis.summarize_values(chunk.values)
-        np.testing.assert_array_equal(vmin, evmin)
-        np.testing.assert_array_equal(vmax, evmax)
-        np.testing.assert_array_equal(nulls, enulls)
-        assert count == ecount
+    def test_v1_header_rejected(self, rng):
+        old = as_version1(encode_chunk(make_chunk(rng, comps=2)))
+        for decode in (decode_chunk, decode_synopsis):
+            with pytest.raises(ChunkFormatError, match="version 1") as info:
+                decode(old)
+            # A well-formed old file is the wrong format, not damage.
+            assert not isinstance(info.value, CorruptChunkError)
 
     def test_decode_synopsis_detects_corruption(self, rng):
         data = bytearray(encode_chunk(make_chunk(rng)))
