@@ -30,8 +30,9 @@ Kinds (:data:`WIRE_FAULT_KINDS`):
 - ``corrupt``  -- XOR ``0xFF`` into the response byte at offset
   ``after_bytes`` and keep forwarding (``after_bytes=0`` hits the
   frame header's most significant length byte, declaring an absurd
-  frame the client must refuse; an offset inside the payload breaks
-  the JSON instead).
+  frame the client must refuse; an offset inside the JSON header
+  breaks the JSON, and one inside a result array's raw segment fails
+  that segment's CRC32 check).
 
 Determinism mirrors :class:`~repro.faults.plan.FaultPlan`: each spec
 draws from its own generator spawned from the plan seed, and ``times``

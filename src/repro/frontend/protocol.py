@@ -1,11 +1,13 @@
-"""Client wire protocol: JSON-safe query and result encoding.
+"""Client wire protocol: query and result encoding, and its framing.
 
 The paper's front end "interacts with client applications and relays
 the range queries to the back-end"; sequential clients connect through
 a socket interface.  This module is that interface's message format:
 queries and results round-trip through plain JSON-compatible
-dictionaries, so a client process needs nothing but ``json`` and this
-schema to drive an ADR service.
+dictionaries, and result arrays travel as raw little-endian segments
+after the JSON header of their frame, so a client process needs
+nothing but ``json``, a raw-buffer read and this schema to drive an
+ADR service.
 
 Only declarative customizations travel over the wire -- the built-in
 aggregations by name and :class:`~repro.space.mapping.GridMapping`
@@ -17,8 +19,10 @@ needing them register them server-side and reference them by name.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from typing import Any, BinaryIO, Dict, Optional
+import zlib
+from typing import Any, BinaryIO, Dict, List, Optional
 
 import numpy as np
 
@@ -37,12 +41,14 @@ __all__ = [
     "query_to_dict",
     "query_from_dict",
     "result_to_dict",
+    "result_to_message",
     "result_from_dict",
     "error_to_dict",
     "ProtocolError",
     "DeadlineExceededError",
     "ERROR_CODES",
     "MAX_FRAME_BYTES",
+    "encode_frame",
     "write_frame",
     "read_frame",
 ]
@@ -65,7 +71,18 @@ ERROR_CODES = (
 
 
 class ProtocolError(ValueError):
-    """Malformed or unsupported protocol message."""
+    """Malformed or unsupported protocol message.
+
+    ``wire_details`` optionally carries machine-readable fields that
+    :func:`error_to_dict` sends as the error's ``"details"`` (e.g. an
+    oversized reply's ``frame_bytes`` and ``max_frame_bytes``).
+    """
+
+    def __init__(
+        self, message: str = "", wire_details: Optional[Dict[str, Any]] = None
+    ) -> None:
+        super().__init__(message)
+        self.wire_details = wire_details
 
 
 class DeadlineExceededError(TimeoutError):
@@ -80,37 +97,121 @@ class DeadlineExceededError(TimeoutError):
 # -- framing ----------------------------------------------------------
 #
 # Requests and responses travel as length-prefixed frames: a 4-byte
-# big-endian payload length followed by that many bytes of UTF-8 JSON.
-# Framing makes torn connections *loud* -- a short read is a
+# big-endian header length, that many bytes of UTF-8 JSON, then the raw
+# bytes of every ndarray in the message.  Each array appears in the
+# JSON as a descriptor ``{"__ndarray__": dtype, "shape": [...],
+# "nbytes": n, "crc32": c}`` and its little-endian bytes follow the
+# header in document order, so array-free messages are plain JSON
+# frames.  Framing makes torn connections *loud* -- a short read is a
 # ProtocolError naming the missing bytes, never a hang or a bare
-# struct.error.
+# struct.error -- and the per-segment CRC32 makes a flipped byte in a
+# segment just as loud as one that breaks the JSON.
 
 _FRAME_HEADER = struct.Struct(">I")
 
-#: Upper bound on one frame's declared payload length.  A header
-#: announcing more than this is corrupt (or hostile) and must fail
+#: Upper bound on one frame: JSON header plus segments.  A frame
+#: declaring more than this is corrupt (or hostile) and must fail
 #: loudly before anything tries to allocate or await the bytes.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+#: The segment dtypes the protocol sends, by array kind.
+_SEGMENT_DTYPES = {"f": np.dtype("<f8"), "i": np.dtype("<i8")}
+_SEGMENT_KEY = "__ndarray__"
+
+
+def _check_frame_size(size: int, what: str) -> None:
+    if size > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"{what} of {size} bytes exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})",
+            wire_details={"frame_bytes": size, "max_frame_bytes": MAX_FRAME_BYTES},
+        )
+
+
+def encode_frame(message: Dict[str, Any]) -> bytes:
+    """*message* as one frame's bytes; ndarrays become raw segments."""
+    segments: List[np.ndarray] = []
+
+    def describe(obj: Any) -> Dict[str, Any]:
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(
+                f"Object of type {type(obj).__name__} is not JSON serializable"
+            )
+        dtype = _SEGMENT_DTYPES.get(obj.dtype.kind)
+        if dtype is None:
+            raise ProtocolError(f"arrays of dtype {obj.dtype} do not travel on the wire")
+        arr = np.ascontiguousarray(obj, dtype=dtype)
+        segments.append(arr)
+        return {
+            _SEGMENT_KEY: dtype.str,
+            "shape": list(arr.shape),
+            "nbytes": arr.nbytes,
+            "crc32": zlib.crc32(arr),
+        }
+
+    data = json.dumps(message, default=describe).encode("utf-8")
+    _check_frame_size(
+        len(data) + sum(a.nbytes for a in segments), "frame payload"
+    )
+    # One buffer, one write: a header sent apart from its segments
+    # stalls on Nagle / delayed-ACK for small replies.
+    return b"".join([_FRAME_HEADER.pack(len(data)), data, *segments])
+
 
 def write_frame(wfile: BinaryIO, message: Dict[str, Any]) -> None:
-    """Encode *message* and write one length-prefixed frame."""
-    data = json.dumps(message).encode("utf-8")
-    if len(data) > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame payload of {len(data)} bytes exceeds MAX_FRAME_BYTES "
-            f"({MAX_FRAME_BYTES})"
-        )
-    wfile.write(_FRAME_HEADER.pack(len(data)) + data)
+    """Encode *message* and write one length-prefixed frame.
+
+    The size check runs before anything is written, so an oversized
+    message leaves the stream intact."""
+    wfile.write(encode_frame(message))
     wfile.flush()
 
 
+class _Segment:
+    """A validated segment descriptor awaiting its bytes."""
+
+    __slots__ = ("dtype", "shape", "nbytes", "crc32", "array")
+
+    def __init__(self, d: Dict[str, Any]) -> None:
+        name = d[_SEGMENT_KEY]
+        self.dtype = next(
+            (dt for dt in _SEGMENT_DTYPES.values() if dt.str == name), None
+        )
+        if self.dtype is None:
+            raise ProtocolError(f"unsupported segment dtype {name!r}")
+        try:
+            self.shape = tuple(int(n) for n in d["shape"])
+            self.nbytes = int(d["nbytes"])
+            self.crc32 = int(d["crc32"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise ProtocolError(f"bad segment descriptor {d!r}: {e}") from e
+        if any(n < 0 for n in self.shape) or (
+            math.prod(self.shape) * self.dtype.itemsize != self.nbytes
+        ):
+            raise ProtocolError(
+                f"segment shape {list(self.shape)} of {self.dtype.str} does not "
+                f"match its {self.nbytes} bytes"
+            )
+
+
+def _substitute(node: Any) -> Any:
+    """*node* with every :class:`_Segment` replaced by its array."""
+    if isinstance(node, _Segment):
+        return node.array
+    if isinstance(node, dict):
+        return {k: _substitute(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_substitute(v) for v in node]
+    return node
+
+
 def read_frame(rfile: BinaryIO) -> Optional[Dict[str, Any]]:
-    """Read one length-prefixed frame; ``None`` on clean EOF.
+    """Read one frame; ``None`` on clean EOF.
 
     Raises :class:`ProtocolError` on a truncated header, an oversized
-    declared length, a torn payload, or a payload that is not valid
-    JSON.
+    declared length (header or header plus segments, checked before
+    anything is allocated), a torn header or segment, a payload that
+    is not valid JSON, a bad segment descriptor or a segment whose
+    CRC32 does not match.  Decoded arrays are writable.
     """
     header = rfile.read(_FRAME_HEADER.size)
     if not header:
@@ -131,10 +232,44 @@ def read_frame(rfile: BinaryIO) -> Optional[Dict[str, Any]]:
         raise ProtocolError(
             f"torn frame: got {len(payload)} of {length} payload bytes"
         )
+    segments: List[_Segment] = []
+
+    def collect(d: Dict[str, Any]) -> Any:
+        if _SEGMENT_KEY not in d:
+            return d
+        segments.append(_Segment(d))
+        return segments[-1]
+
     try:
-        return json.loads(payload.decode("utf-8"))
+        message = json.loads(payload.decode("utf-8"), object_hook=collect)
+    except ProtocolError:
+        raise
     except (UnicodeDecodeError, ValueError) as e:
         raise ProtocolError(f"bad frame payload: {e}") from e
+    if not segments:
+        return message
+    total = sum(s.nbytes for s in segments)
+    _check_frame_size(length + total, "declared frame (header plus segments)")
+    # Reading into a bytearray makes the decoded arrays writable views
+    # of it, with no copy; like ``read`` above, a buffered ``readinto``
+    # comes up short only at EOF.
+    buf = bytearray(total)
+    got = rfile.readinto(buf) or 0
+    if got < total:
+        raise ProtocolError(f"torn frame: got {got} of {total} segment bytes")
+    view = memoryview(buf)
+    offset = 0
+    for i, seg in enumerate(segments):
+        if zlib.crc32(view[offset:offset + seg.nbytes]) != seg.crc32:
+            raise ProtocolError(
+                f"segment {i} fails its CRC32 check: the frame is corrupt"
+            )
+        seg.array = np.frombuffer(
+            buf, dtype=seg.dtype, count=seg.nbytes // seg.dtype.itemsize,
+            offset=offset,
+        ).reshape(seg.shape)
+        offset += seg.nbytes
+    return _substitute(message)
 
 
 def error_to_dict(
@@ -352,9 +487,9 @@ _NUMERIC_KINDS = "biuf"
 
 
 def _decode_values(rows: Any) -> np.ndarray:
-    """One chunk's nested lists as a float64 array; anything that is not
-    a rectangular block of numbers (``null``, strings, ragged rows)
-    raises :class:`ProtocolError`."""
+    """One chunk's values (a decoded segment or nested lists) as a
+    float64 array; anything that is not a rectangular block of numbers
+    (``null``, strings, ragged rows) raises :class:`ProtocolError`."""
     arr = np.asarray(rows)
     if arr.dtype.kind not in _NUMERIC_KINDS:
         raise ProtocolError(
@@ -363,15 +498,17 @@ def _decode_values(rows: Any) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
-def result_to_dict(result: QueryResult) -> Dict[str, Any]:
-    """Encode a result.  Chunk values are nested lists of floats; NaN
-    and ±inf travel as JSON's ``NaN``/``Infinity``/``-Infinity`` tokens,
-    which Python's ``json`` writes and reads by default."""
+def result_to_message(result: QueryResult) -> Dict[str, Any]:
+    """Encode a result for :func:`write_frame`: ``output_ids`` (int64)
+    and each chunk's values (float64) stay ndarrays, so they travel as
+    raw segments with their exact bits."""
     payload = {
         "version": PROTOCOL_VERSION,
         "strategy": result.strategy,
-        "output_ids": [int(o) for o in result.output_ids],
-        "chunk_values": [v.tolist() for v in result.chunk_values],
+        "output_ids": np.asarray(result.output_ids, dtype=np.int64),
+        "chunk_values": [
+            np.asarray(v, dtype=np.float64) for v in result.chunk_values
+        ],
         "n_tiles": result.n_tiles,
         "n_reads": result.n_reads,
         "bytes_read": result.bytes_read,
@@ -416,6 +553,17 @@ def result_to_dict(result: QueryResult) -> Dict[str, Any]:
             payload["strategy_ranking"] = {
                 str(k): float(v) for k, v in result.strategy_ranking.items()
             }
+    return payload
+
+
+def result_to_dict(result: QueryResult) -> Dict[str, Any]:
+    """Encode a result as a JSON-safe document: the
+    :func:`result_to_message` fields with arrays as nested lists.  NaN
+    and ±inf become JSON's ``NaN``/``Infinity``/``-Infinity`` tokens,
+    which Python's ``json`` writes and reads by default."""
+    payload = result_to_message(result)
+    payload["output_ids"] = payload["output_ids"].tolist()
+    payload["chunk_values"] = [v.tolist() for v in payload["chunk_values"]]
     return payload
 
 

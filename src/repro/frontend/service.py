@@ -3,9 +3,9 @@
 Figure 2 of the paper shows a standalone "ADR Front-end Process" that
 clients connect to ("the socket interface is used for sequential
 clients").  :class:`ADRServer` is that process: a thin wire adapter
-serving length-prefixed JSON frames of the
-:mod:`repro.frontend.protocol` schema on a TCP port, with all query
-scheduling delegated to a
+serving length-prefixed frames of the :mod:`repro.frontend.protocol`
+schema (a JSON header, result arrays as raw segments) on a TCP port,
+with all query scheduling delegated to a
 :class:`~repro.frontend.queryservice.QueryService` -- concurrent
 connections are admitted, batched and executed with cross-query scan
 sharing (see ``docs/service.md``).  :class:`ADRClient` is the matching
@@ -24,7 +24,10 @@ Message envelope (one frame per message; see ``protocol.write_frame``):
 
 Framing errors -- including bytes that are not a frame at all --
 answer one framed ``bad_request`` and close the connection (byte
-offsets are unrecoverable).
+offsets are unrecoverable).  A reply too large for one frame answers
+a ``bad_request`` whose ``details`` carry ``frame_bytes`` and
+``max_frame_bytes`` instead, and the connection stays open: nothing
+of the reply was written.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from repro.frontend.protocol import (
     query_to_dict,
     read_frame,
     result_from_dict,
-    result_to_dict,
+    result_to_message,
     write_frame,
 )
 from repro.frontend.query import RangeQuery
@@ -64,6 +67,10 @@ __all__ = ["ADRServer", "ADRClient", "RemoteQueryError"]
 #: aggregation, region selecting nothing); retrying unchanged cannot
 #: succeed.
 _BAD_REQUEST_ERRORS = (ProtocolError, KeyError, ValueError)
+
+#: Seconds between ``serve_forever``'s checks for a shutdown request;
+#: bounds how long :meth:`ADRServer.__exit__` waits for the serve loop.
+_POLL_INTERVAL_S = 0.05
 
 
 class RemoteQueryError(RuntimeError):
@@ -99,7 +106,12 @@ class _Handler(socketserver.StreamRequestHandler):
                 return
             if message is None:
                 return
-            write_frame(self.wfile, self._dispatch_safe(message))
+            try:
+                write_frame(self.wfile, self._dispatch_safe(message))
+            except ProtocolError as e:
+                # Raised before any byte went out (the reply is too
+                # large for one frame), so the stream is still in sync.
+                write_frame(self.wfile, error_to_dict("bad_request", e))
 
     def _dispatch_safe(self, message: dict) -> dict:
         try:
@@ -191,7 +203,7 @@ class ADRServer(socketserver.ThreadingTCPServer):
             return error_to_dict("bad_request", e)
         except Exception as e:
             return error_to_dict("internal", e)
-        response: Dict[str, Any] = {"ok": True, "result": result_to_dict(result)}
+        response: Dict[str, Any] = {"ok": True, "result": result_to_message(result)}
         if ticket.service_info:
             response["service"] = dict(ticket.service_info)
         return response
@@ -227,7 +239,9 @@ class ADRServer(socketserver.ThreadingTCPServer):
         return self.server_address[0], self.server_address[1]
 
     def __enter__(self) -> "ADRServer":
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self.serve_forever, args=(_POLL_INTERVAL_S,), daemon=True
+        )
         self._thread.start()
         return self
 

@@ -28,6 +28,7 @@ endpoints and the servers.
 
 from __future__ import annotations
 
+import io
 import threading
 import time
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence
@@ -36,7 +37,12 @@ from repro.dataset.chunk import Chunk
 from repro.faults.injector import FaultInjector
 from repro.faults.store import FaultyChunkStore
 from repro.frontend.adr import ADR
-from repro.frontend.protocol import query_to_dict, result_from_dict
+from repro.frontend.protocol import (
+    query_to_dict,
+    read_frame,
+    result_from_dict,
+    write_frame,
+)
 from repro.frontend.query import RangeQuery
 from repro.frontend.queryservice import ServicePolicy
 from repro.frontend.service import ADRClient
@@ -63,10 +69,11 @@ _CLOSE_TIMEOUT_S = 30.0
 class _LocalShardClient:
     """In-process stand-in for :class:`~repro.shard.server.ShardClient`.
 
-    Calls the server's dispatch directly -- the exact same
-    encode/dispatch/decode code the socket path runs, minus the
-    socket -- so local composite results are bit-identical to wire
-    results and serve as the chaos corpus's ground truth.
+    Calls the server's dispatch directly and passes the response
+    through ``write_frame``/``read_frame`` on a memory buffer -- the
+    exact same encode/dispatch/frame/decode code the socket path runs,
+    minus the socket -- so local composite results are bit-identical
+    to wire results and serve as the chaos corpus's ground truth.
     """
 
     def __init__(self, server: ShardServer) -> None:
@@ -75,9 +82,12 @@ class _LocalShardClient:
     def query_partial(
         self, query: RangeQuery, deadline: Optional[float] = None
     ) -> QueryResult:
-        response = self._server.adr_dispatch(
+        buf = io.BytesIO()
+        write_frame(buf, self._server.adr_dispatch(
             {"op": "query", "query": query_to_dict(query), "partial": True}
-        )
+        ))
+        buf.seek(0)
+        response = read_frame(buf)
         ADRClient._checked(response, "partial query")
         return result_from_dict(response["result"])
 

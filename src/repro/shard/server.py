@@ -31,7 +31,7 @@ from repro.frontend.protocol import (
     query_from_dict,
     query_to_dict,
     result_from_dict,
-    result_to_dict,
+    result_to_message,
 )
 from repro.frontend.query import RangeQuery
 from repro.frontend.queryservice import (
@@ -104,7 +104,7 @@ class ShardServer(ADRServer):
             return error_to_dict("bad_request", e)
         except Exception as e:
             return error_to_dict("internal", e)
-        return {"ok": True, "result": result_to_dict(result)}
+        return {"ok": True, "result": result_to_message(result)}
 
 
 class ShardClient(ADRClient):

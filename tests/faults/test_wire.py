@@ -1,10 +1,11 @@
 """Tests for the wire-level chaos proxy and its fault plans."""
 
+import struct
 import time
 
-import numpy as np
 import pytest
 
+from repro.aggregation.output_grid import OutputGrid
 from repro.dataset.partition import hilbert_partition
 from repro.faults.wire import (
     WIRE_FAULT_KINDS,
@@ -13,10 +14,13 @@ from repro.faults.wire import (
     WireFaultSpec,
 )
 from repro.frontend.adr import ADR
-from repro.frontend.protocol import ProtocolError
+from repro.frontend.protocol import ProtocolError, encode_frame, query_to_dict
+from repro.frontend.query import RangeQuery
 from repro.frontend.service import ADRClient, ADRServer
 from repro.machine.config import MachineConfig
 from repro.space.attribute_space import AttributeSpace
+from repro.space.mapping import GridMapping
+from repro.util.geometry import Rect
 from repro.util.units import MB
 
 
@@ -123,6 +127,45 @@ class TestChaosProxy:
             with client_through(proxy) as client:
                 with pytest.raises(ProtocolError, match="bad frame payload"):
                     client.ping()
+
+    @staticmethod
+    def mid_segment_offset(server):
+        """A query with 32 KiB of result segments, and a response byte
+        offset halfway through them (the JSON header before them varies
+        by a few bytes between runs: timings, diagnostics)."""
+        space = server.adr.dataset("sensors").space
+        out_space = AttributeSpace.regular("o", ("u", "v"), (0, 0), (1, 1))
+        query = RangeQuery(
+            "sensors", Rect((0, 0), (10, 10)),
+            GridMapping(space, out_space, (64, 64)),
+            OutputGrid(out_space, (64, 64), (16, 16)),
+            aggregation="mean", strategy="FRA",
+        )
+        frame = encode_frame(
+            server.adr_dispatch({"op": "query", "query": query_to_dict(query)})
+        )
+        (length,) = struct.unpack(">I", frame[:4])
+        segment_bytes = len(frame) - 4 - length
+        assert segment_bytes >= 32 * 1024
+        return query, 4 + length + segment_bytes // 2
+
+    def test_corrupt_segment_fails_crc(self, server):
+        """A flipped byte inside a raw float segment would be a silent
+        wrong answer; the segment's CRC32 makes it a loud one."""
+        query, offset = self.mid_segment_offset(server)
+        with ChaosProxy(server.address, WireFaultPlan.corrupt(after_bytes=offset)) as proxy:
+            with client_through(proxy) as client:
+                with pytest.raises(ProtocolError, match="CRC32"):
+                    client.query(query)
+                with pytest.raises(ConnectionError, match="broken"):
+                    client.ping()
+
+    def test_cut_inside_segment_surfaces_torn_frame(self, server):
+        query, offset = self.mid_segment_offset(server)
+        with ChaosProxy(server.address, WireFaultPlan.cut(after_bytes=offset)) as proxy:
+            with client_through(proxy) as client:
+                with pytest.raises(ProtocolError, match="torn frame"):
+                    client.query(query)
 
     def test_delay_stalls_at_least_delay_seconds(self, server):
         with ChaosProxy(server.address, WireFaultPlan.slow(0.3)) as proxy:

@@ -1,6 +1,8 @@
 """Tests for the client wire protocol."""
 
+import io
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -9,12 +11,17 @@ from repro.aggregation.functions import SumAggregation
 from repro.aggregation.output_grid import OutputGrid
 from repro.dataset.partition import hilbert_partition
 from repro.frontend.adr import ADR
+from repro.frontend import protocol
 from repro.frontend.protocol import (
     ProtocolError,
+    encode_frame,
     query_from_dict,
     query_to_dict,
+    read_frame,
     result_from_dict,
     result_to_dict,
+    result_to_message,
+    write_frame,
 )
 from repro.frontend.query import RangeQuery
 from repro.machine.config import MachineConfig
@@ -22,6 +29,14 @@ from repro.space.attribute_space import AttributeSpace
 from repro.space.mapping import GridMapping, IdentityMapping
 from repro.util.geometry import Rect
 from repro.util.units import MB
+
+
+def over_the_wire(message):
+    """*message* after one write_frame/read_frame round trip."""
+    buf = io.BytesIO()
+    write_frame(buf, message)
+    buf.seek(0)
+    return read_frame(buf)
 
 
 def make_query():
@@ -166,15 +181,13 @@ class TestResultRoundTrip:
         q = RangeQuery("sensors", Rect((0, 0), (10, 10)), mapping, grid,
                        aggregation="mean", strategy="FRA")
 
-        wire_query = json.dumps(query_to_dict(q))
-        server_query = query_from_dict(json.loads(wire_query))
+        server_query = query_from_dict(over_the_wire(query_to_dict(q)))
         result = adr.execute(server_query)
-        wire_result = json.dumps(result_to_dict(result))
-        client_result = result_from_dict(json.loads(wire_result))
+        client_result = result_from_dict(over_the_wire(result_to_message(result)))
 
         assert client_result.output_ids.tolist() == result.output_ids.tolist()
         for a, b in zip(client_result.chunk_values, result.chunk_values):
-            np.testing.assert_allclose(a, b, equal_nan=True)
+            assert a.tobytes() == b.tobytes()
         assert client_result.n_reads == result.n_reads
 
     @staticmethod
@@ -325,9 +338,9 @@ class TestStrategyChoiceOnTheWire:
         q = RangeQuery("sensors", Rect((0, 0), (10, 10)), mapping, grid,
                        aggregation="mean", strategy="AUTO")
 
-        server_query = query_from_dict(json.loads(json.dumps(query_to_dict(q))))
+        server_query = query_from_dict(over_the_wire(query_to_dict(q)))
         result = adr.execute(server_query)
-        back = result_from_dict(json.loads(json.dumps(result_to_dict(result))))
+        back = result_from_dict(over_the_wire(result_to_message(result)))
         assert back.selected_strategy == result.strategy
         assert back.strategy_ranking == result.strategy_ranking
         assert set(back.strategy_ranking) == {"FRA", "SRA", "DA", "HYBRID"}
@@ -399,14 +412,7 @@ class TestFraming:
     result, or a bare struct/json error."""
 
     def roundtrip(self, message):
-        import io
-
-        from repro.frontend.protocol import read_frame, write_frame
-
-        buf = io.BytesIO()
-        write_frame(buf, message)
-        buf.seek(0)
-        return read_frame(buf)
+        return over_the_wire(message)
 
     def test_roundtrip(self):
         message = {"op": "query", "nested": {"xs": [1, 2.5, None, "s"]}}
@@ -465,6 +471,140 @@ class TestFraming:
         big = {"blob": "x" * (MAX_FRAME_BYTES + 1)}
         with pytest.raises(ProtocolError, match="exceeds MAX_FRAME_BYTES"):
             write_frame(io.BytesIO(), big)
+
+    # -- binary segments ---------------------------------------------
+
+    @staticmethod
+    def odd_floats():
+        """Values JSON would not keep bit for bit: a NaN with a payload,
+        ±inf, -0.0, an empty (0, k) block and a ``best`` partial
+        accumulator (unfilled cells hold -inf scores)."""
+        from repro.aggregation.functions import BestValueComposite
+        from repro.shard.partial import PartialAggregationSpec
+
+        nan_payload = np.frombuffer(
+            struct.pack("<Q", 0x7FF8_0000_0000_0123), dtype="<f8"
+        )[0]
+        spec = PartialAggregationSpec(BestValueComposite(3))
+        best = spec.initialize(6)
+        spec.aggregate(
+            best,
+            np.array([0, 0, 2, 5]),
+            np.array([[0.5, 1.0, np.nan], [0.7, 2.0, 3.0],
+                      [np.inf, -1.0, 0.25], [-2.0, np.nan, np.nan]]),
+        )
+        return [
+            np.array([[nan_payload, np.inf], [-np.inf, -0.0], [0.0, 5e-324]]),
+            np.empty((0, 3)),
+            spec.output(best),
+        ]
+
+    @staticmethod
+    def segmented(values):
+        """A frame's bytes with tampering room: (header, json, segments)."""
+        frame = encode_frame({"values": values})
+        (length,) = struct.unpack(">I", frame[:4])
+        return frame[:4], frame[4:4 + length], bytearray(frame[4 + length:])
+
+    def test_arrays_roundtrip_bit_identical(self):
+        values = self.odd_floats()
+        ids = np.array([3, -1, 2**62], dtype=np.int64)
+        back = self.roundtrip({"values": values, "ids": ids, "n": 1})
+        assert back["n"] == 1
+        assert back["ids"].dtype == np.int64
+        assert back["ids"].tolist() == ids.tolist()
+        for got, want in zip(back["values"], values):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_result_roundtrip_bit_identical(self):
+        values = self.odd_floats()
+        result = TestResultRoundTrip._values_result(values)
+        back = result_from_dict(self.roundtrip(result_to_message(result)))
+        assert back.output_ids.tolist() == [0, 1, 2]
+        for got, want in zip(back.chunk_values, values):
+            assert got.tobytes() == want.tobytes()
+
+    def test_decoded_arrays_are_writable(self):
+        back = self.roundtrip({"values": [np.arange(6.0).reshape(2, 3)]})
+        arr = back["values"][0]
+        assert arr.flags.writeable
+        arr[0, 0] = 42.0
+        assert arr[0, 0] == 42.0
+
+    def test_array_free_frame_is_plain_json(self):
+        message = {"op": "query", "query": {"xs": [1, 2.5]}}
+        data = json.dumps(message).encode("utf-8")
+        assert encode_frame(message) == struct.pack(">I", len(data)) + data
+
+    def test_non_contiguous_and_float32_arrays_widen(self):
+        arr = np.arange(12.0, dtype=np.float32).reshape(3, 4)[:, ::2]
+        back = self.roundtrip({"a": arr})["a"]
+        assert back.dtype == np.float64
+        np.testing.assert_array_equal(back, arr)
+
+    def test_unsupported_outgoing_dtype_refused(self):
+        with pytest.raises(ProtocolError, match="do not travel"):
+            encode_frame({"a": np.array([True, False])})
+
+    def test_segment_bit_flip_fails_crc(self):
+        header, text, segments = self.segmented(self.odd_floats())
+        segments[len(segments) // 2] ^= 0x01
+        with pytest.raises(ProtocolError, match="CRC32"):
+            read_frame(io.BytesIO(header + text + segments))
+
+    def test_torn_segment(self):
+        header, text, segments = self.segmented(self.odd_floats())
+        with pytest.raises(ProtocolError, match="torn frame: got 10 of"):
+            read_frame(io.BytesIO(header + text + segments[:10]))
+
+    @staticmethod
+    def descriptor_frame(**fields):
+        desc = {"__ndarray__": "<f8", "shape": [2], "nbytes": 16, "crc32": 0}
+        desc.update(fields)
+        data = json.dumps({"a": desc}).encode("utf-8")
+        return struct.pack(">I", len(data)) + data
+
+    def test_declared_segment_total_refused_before_allocation(self):
+        """A descriptor declaring 2**62 bytes must be refused by the
+        size check: allocating it would raise MemoryError instead, and
+        no segment byte may be read."""
+        class Untouchable(io.BytesIO):
+            def readinto(self, b):
+                raise AssertionError("segment bytes read past the size check")
+
+        frame = self.descriptor_frame(shape=[2**59], nbytes=2**62)
+        with pytest.raises(ProtocolError, match="exceeds MAX_FRAME_BYTES"):
+            read_frame(Untouchable(frame))
+
+    def test_segment_total_counts_toward_frame_limit(self, monkeypatch):
+        frame = self.descriptor_frame()
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", len(frame) - 4 + 15)
+        with pytest.raises(ProtocolError, match="exceeds MAX_FRAME_BYTES"):
+            read_frame(io.BytesIO(frame + bytes(16)))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"__ndarray__": "<f4", "nbytes": 8}, {"__ndarray__": ">f8"},
+         {"__ndarray__": "|b1", "nbytes": 2}, {"__ndarray__": "nope"}],
+        ids=["float32", "big-endian", "bool", "garbage"],
+    )
+    def test_unknown_dtype_refused(self, fields):
+        with pytest.raises(ProtocolError, match="dtype"):
+            read_frame(io.BytesIO(self.descriptor_frame(**fields) + bytes(16)))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"nbytes": 24}, {"shape": [3]}, {"shape": [-2, -1]}],
+        ids=["nbytes", "shape", "negative"],
+    )
+    def test_shape_nbytes_mismatch_refused(self, fields):
+        with pytest.raises(ProtocolError, match="does not match"):
+            read_frame(io.BytesIO(self.descriptor_frame(**fields) + bytes(24)))
+
+    def test_malformed_descriptor_refused(self):
+        with pytest.raises(ProtocolError, match="bad segment descriptor"):
+            read_frame(io.BytesIO(self.descriptor_frame(shape="x") + bytes(16)))
 
 
 class TestRobustnessErrorCodes:

@@ -131,6 +131,29 @@ class TestErrorCodes:
             response = read_frame(client._file)
             assert response["code"] == "bad_request"
 
+    def test_oversized_reply_gets_bad_request_and_keeps_connection(
+        self, service, monkeypatch
+    ):
+        """A reply too large for one frame is refused before any byte
+        of it is written, so the server answers a ``bad_request`` with
+        the sizes and the same connection keeps serving."""
+        from repro.frontend import protocol
+        from repro.frontend.service import RemoteQueryError
+
+        adr, server, query = service
+        request = {"op": "query", "query": query_to_dict_helper(query)}
+        reply = protocol.encode_frame(server.adr_dispatch(request))
+        limit = len(protocol.encode_frame(request)) + 16
+        assert len(reply) > limit
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", limit)
+        with ADRClient(*server.address) as client:
+            with pytest.raises(RemoteQueryError) as info:
+                client.query(query)
+            assert info.value.code == "bad_request"
+            assert info.value.details["max_frame_bytes"] == limit
+            assert info.value.details["frame_bytes"] > limit
+            assert client.ping()
+
     def test_client_error_message_carries_code(self, service):
         adr, server, query = service
         query.dataset = "absent"
